@@ -18,8 +18,7 @@
 //! reasonable wall time. Its stopping times are **exact first hits**: the
 //! engine probes the predicate at block boundaries but rewinds and replays
 //! the recorded interaction trace to the first satisfying interaction, so
-//! there is no batch-boundary quantisation in any mode (the legacy
-//! approximate engine's overshoot of up to one batch is gone).
+//! there is no batch-boundary quantisation.
 //!
 //! `--compiled` runs the chosen engine on compiled transition tables
 //! (`ppsim::compiled`) for both protocols — the fast path for the agent

@@ -53,9 +53,16 @@ pub struct Params {
 }
 
 impl Params {
-    /// Derive all parameters for a population of size `n` (≥ 16).
+    /// Smallest population [`Params::for_population`] accepts.
+    pub const MIN_POPULATION: u64 = 16;
+
+    /// Derive all parameters for a population of size `n` (at least
+    /// [`Params::MIN_POPULATION`]).
     pub fn for_population(n: u64) -> Self {
-        assert!(n >= 16, "population too small for the protocol structure");
+        assert!(
+            n >= Self::MIN_POPULATION,
+            "population too small for the protocol structure"
+        );
         Self {
             n,
             gamma: gamma_for(n),

@@ -31,7 +31,7 @@ use crate::artifact::TrialRecord;
 use crate::json;
 use crate::json::Json;
 use crate::registry::ProtocolKind;
-use crate::spec::{BatchMode, EngineKind, ExperimentSpec};
+use crate::spec::{EngineKind, ExperimentSpec};
 
 /// Hit/miss counters of one cached run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -75,13 +75,8 @@ impl Cache {
     pub fn config_identity(spec: &ExperimentSpec, protocol: ProtocolKind, n: u64) -> String {
         // The batch policy only shapes trials on the batched engine;
         // canonicalise so flipping `batch_shift` under other engines does
-        // not invalidate their entries. The approximate mode gets its own
-        // policy prefix: an approximate trial must never be served from (or
-        // into) an exact run's cache entry, whatever the other keys say.
+        // not invalidate their entries.
         let policy = match spec.engine {
-            EngineKind::UrnBatched if spec.batch_mode == BatchMode::ApproximateMultinomial => {
-                format!("batched-approx:{}", spec.batch_shift)
-            }
             EngineKind::UrnBatched => format!("batched:{}", spec.batch_shift),
             _ => "per-step".into(),
         };
@@ -294,20 +289,6 @@ mod tests {
         let mut shifted = batched.clone();
         shifted.batch_shift = 9;
         assert_ne!(id(&batched), id(&shifted));
-
-        // The approximate mode must never share an entry with the exact
-        // engine at otherwise-identical parameters (a cache hit across
-        // that line would silently launder approximate trials into exact
-        // artifacts), and stays shift-sensitive within itself.
-        let mut approx = batched.clone();
-        approx.batch_mode = BatchMode::ApproximateMultinomial;
-        approx.batch_shift = 6;
-        let mut exact6 = batched.clone();
-        exact6.batch_shift = 6;
-        assert_ne!(id(&approx), id(&exact6));
-        let mut approx7 = approx.clone();
-        approx7.batch_shift = 7;
-        assert_ne!(id(&approx), id(&approx7));
     }
 
     #[test]

@@ -85,6 +85,17 @@ impl ProtocolKind {
         )
     }
 
+    /// Smallest population the protocol can be built for: the gsu19
+    /// family and gs18 derive [`Params`], which needs
+    /// [`Params::MIN_POPULATION`] agents; the rest need an interacting pair.
+    pub fn min_population(self) -> u64 {
+        if self.is_gsu_family() || self == ProtocolKind::Gs18 {
+            Params::MIN_POPULATION
+        } else {
+            2
+        }
+    }
+
     /// Whether `ppsim::compiled` transition tables exist for it.
     pub fn supports_compiled(self) -> bool {
         self.is_gsu_family() || self == ProtocolKind::Gs18

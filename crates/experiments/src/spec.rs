@@ -21,7 +21,7 @@ pub enum EngineKind {
     Agent,
     /// Count-based urn, sequential sampling.
     Urn,
-    /// Count-based urn with batched multinomial sampling (`ppsim::batch`).
+    /// Count-based urn with exact batched sampling (`ppsim::batch`).
     UrnBatched,
 }
 
@@ -44,46 +44,6 @@ impl EngineKind {
             EngineKind::Agent => "agent",
             EngineKind::Urn => "urn",
             EngineKind::UrnBatched => "urn-batched",
-        }
-    }
-}
-
-/// Sampling mode of the `urn-batched` engine (mirrors `ppctl --batch-mode`;
-/// ignored with an error by the other engines rather than silently).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum BatchMode {
-    /// The exact collision-resampling engine (default): every block is
-    /// distributed exactly as the same number of sequential steps, and
-    /// predicate stops rewind/replay to exact first-hit counts.
-    Exact,
-    /// The legacy **approximate** multinomial engine
-    /// ([`BatchPolicy::ApproximateMultinomial`]) — roles for a whole block
-    /// are drawn from the block-start configuration with no within-block
-    /// feedback, an O(2^-batch_shift) bias per block. Much faster in the
-    /// mid-range, deterministic per seed and cached under a separate
-    /// identity, but **not exact**: stopping times are block-granular and
-    /// the mode is excluded from the bit-level equivalence gates. Keep it
-    /// out of anything feeding the paper's figures.
-    ApproximateMultinomial,
-}
-
-impl BatchMode {
-    /// Parse a batch-mode name as used by the CLI and spec files.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "exact" => Ok(BatchMode::Exact),
-            "approximate-multinomial" | "approximate" => Ok(BatchMode::ApproximateMultinomial),
-            other => Err(format!(
-                "unknown batch mode '{other}' (expected exact | approximate-multinomial)"
-            )),
-        }
-    }
-
-    /// Canonical name (inverse of [`BatchMode::parse`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            BatchMode::Exact => "exact",
-            BatchMode::ApproximateMultinomial => "approximate-multinomial",
         }
     }
 }
@@ -340,11 +300,6 @@ pub struct ExperimentSpec {
     /// Batch-size shift for the `urn-batched` engine: batches of
     /// `n >> batch_shift` interactions (ignored by the other engines).
     pub batch_shift: u32,
-    /// Sampling mode for the `urn-batched` engine: exact collision
-    /// resampling (default) or the clearly-labelled legacy approximation
-    /// ([`BatchMode::ApproximateMultinomial`]). Part of the experiment's
-    /// identity — approximate and exact runs never share cache entries.
-    pub batch_mode: BatchMode,
     /// Stopping condition shared by every config.
     pub stop: StopCondition,
     /// Named observables from the registry ([`crate::observe`]); the
@@ -380,7 +335,6 @@ impl Default for ExperimentSpec {
             seed: 42,
             threads: 0,
             batch_shift: BatchPolicy::DEFAULT_SHIFT,
-            batch_mode: BatchMode::Exact,
             stop: StopCondition::Stabilize {
                 budget_pt: 200_000.0,
             },
@@ -441,7 +395,15 @@ impl ExperimentSpec {
             "seed" => self.seed = parse_num(value, "seed")?,
             "threads" => self.threads = parse_num(value, "threads")?,
             "batch_shift" | "batch-shift" => self.batch_shift = parse_num(value, "batch_shift")?,
-            "batch_mode" | "batch-mode" => self.batch_mode = BatchMode::parse(value)?,
+            // `urn-batched` samples exactly; the key survives so specs
+            // that spell the mode out keep parsing.
+            "batch_mode" | "batch-mode" if value == "exact" => {}
+            "batch_mode" | "batch-mode" => {
+                return Err(format!(
+                    "unknown batch mode '{value}' (expected exact; \
+                     the approximate mode was removed)"
+                ))
+            }
             "stop" => self.stop = StopCondition::parse(value)?,
             "budget" => {
                 self.stop = StopCondition::Stabilize {
@@ -486,6 +448,15 @@ impl ExperimentSpec {
         }
         if let Some(&n) = self.ns.iter().find(|&&n| n < 2) {
             return Err(format!("population {n} too small (need n >= 2)"));
+        }
+        for &p in &self.protocols {
+            let min = p.min_population();
+            if let Some(&n) = self.ns.iter().find(|&&n| n < min) {
+                return Err(format!(
+                    "population {n} too small for protocol '{}' (need n >= {min})",
+                    p.name()
+                ));
+            }
         }
         if self.trials == 0 {
             return Err("trials must be at least 1".into());
@@ -574,29 +545,6 @@ impl ExperimentSpec {
                 self.batch_shift
             ));
         }
-        if self.batch_mode == BatchMode::ApproximateMultinomial {
-            // Requesting an approximation and silently not getting one
-            // would be worse than the approximation itself.
-            if self.engine != EngineKind::UrnBatched {
-                return Err(format!(
-                    "batch_mode = approximate-multinomial requires engine = urn-batched \
-                     (engine {} samples exactly and would silently ignore it)",
-                    self.engine.name()
-                ));
-            }
-            // The per-block bias is O(2^-batch_shift); 6 (blocks of n/64)
-            // is the largest block the legacy engine's statistical gates
-            // ever accepted, so the spec layer refuses coarser blocks.
-            if self.batch_shift < BatchPolicy::APPROX_DEFAULT_SHIFT {
-                return Err(format!(
-                    "batch_mode = approximate-multinomial needs batch_shift ≥ {} \
-                     (per-block bias is 2^-batch_shift; {} is the legacy gate-tested cap), got {}",
-                    BatchPolicy::APPROX_DEFAULT_SHIFT,
-                    BatchPolicy::APPROX_DEFAULT_SHIFT,
-                    self.batch_shift
-                ));
-            }
-        }
         if let StopCondition::DragReached { level, .. } = self.stop {
             if level == 0 {
                 return Err("stop = drag needs a level of at least 1".into());
@@ -651,21 +599,14 @@ impl ExperimentSpec {
         Ok(())
     }
 
-    /// The batch policy this spec's engine runs under: adaptive (or, opted
-    /// in, approximate-multinomial) batches for `urn-batched`, exact
-    /// per-step scheduling otherwise.
+    /// The batch policy this spec's engine runs under: adaptive batches
+    /// for `urn-batched`, per-step scheduling otherwise.
     pub fn batch_policy(&self) -> BatchPolicy {
-        match (self.engine, self.batch_mode) {
-            (EngineKind::UrnBatched, BatchMode::Exact) => BatchPolicy::Adaptive {
+        match self.engine {
+            EngineKind::UrnBatched => BatchPolicy::Adaptive {
                 shift: self.batch_shift,
                 min_population: BatchPolicy::DEFAULT_MIN_POPULATION,
             },
-            (EngineKind::UrnBatched, BatchMode::ApproximateMultinomial) => {
-                BatchPolicy::ApproximateMultinomial {
-                    shift: self.batch_shift,
-                    min_population: BatchPolicy::DEFAULT_MIN_POPULATION,
-                }
-            }
             _ => BatchPolicy::PerStep,
         }
     }
@@ -700,10 +641,9 @@ impl ExperimentSpec {
             ("trials".into(), Json::Uint(self.trials as u64)),
             ("seed".into(), Json::Uint(self.seed)),
             ("batch_shift".into(), Json::Uint(self.batch_shift as u64)),
-            (
-                "batch_mode".into(),
-                Json::Str(self.batch_mode.name().into()),
-            ),
+            // Always `exact`; kept so artifact bytes and `spec_hash`
+            // stay stable.
+            ("batch_mode".into(), Json::Str("exact".into())),
             ("stop".into(), stop),
             (
                 "observables".into(),
@@ -964,50 +904,55 @@ mod tests {
 
     #[test]
     fn batch_mode_round_trips_and_validates() {
-        // Key parse → canonical JSON → re-parse closes the loop.
-        let spec = ExperimentSpec::parse(
-            "engine = urn-batched\nbatch_shift = 7\nbatch_mode = approximate-multinomial",
-        )
-        .unwrap();
+        // `exact` parses under both key spellings and round-trips through
+        // the canonical JSON, which keeps emitting it.
+        let spec = ExperimentSpec::parse("engine = urn-batched\nbatch_mode = exact").unwrap();
         spec.validate().unwrap();
-        assert_eq!(spec.batch_mode, BatchMode::ApproximateMultinomial);
-        assert!(spec.batch_policy().is_approximate());
+        assert_eq!(spec.batch_policy(), BatchPolicy::adaptive());
         let j = spec.to_json();
-        assert_eq!(
-            j.get("batch_mode").unwrap().as_str(),
-            Some("approximate-multinomial")
-        );
+        let mode = j.get("batch_mode").unwrap().as_str().unwrap();
+        assert_eq!(mode, "exact");
         let mut round = ExperimentSpec::default();
         round.apply("engine", "urn-batched").unwrap();
-        round
-            .apply("batch-mode", j.get("batch_mode").unwrap().as_str().unwrap())
-            .unwrap();
-        assert_eq!(round.batch_mode, spec.batch_mode);
-        // The alias and the error path.
+        round.apply("batch-mode", mode).unwrap();
+        assert_eq!(round.to_json().emit(), j.emit());
         assert_eq!(
-            BatchMode::parse("approximate").unwrap(),
-            BatchMode::ApproximateMultinomial
-        );
-        assert!(BatchMode::parse("fast").is_err());
-        // Default is exact, and exact stays out of nothing — it is the
-        // canonical serialized value too.
-        let d = ExperimentSpec::default();
-        assert_eq!(d.batch_mode, BatchMode::Exact);
-        assert_eq!(
-            d.to_json().get("batch_mode").unwrap().as_str(),
+            ExperimentSpec::default()
+                .to_json()
+                .get("batch_mode")
+                .unwrap()
+                .as_str(),
             Some("exact")
         );
+        // The removed approximate mode (and its alias) fail loudly, with
+        // the spec line located.
+        for removed in ["approximate-multinomial", "approximate"] {
+            let err =
+                ExperimentSpec::parse(&format!("engine = urn-batched\nbatch_mode = {removed}"))
+                    .unwrap_err();
+            assert!(err.starts_with("line 2:"), "{err}");
+            assert!(err.contains("was removed"), "{err}");
+        }
+        assert!(ExperimentSpec::default()
+            .apply("batch_mode", "fast")
+            .is_err());
+    }
 
-        // Approximation requests that would be silently ignored are errors.
-        let wrong_engine = ExperimentSpec {
-            batch_mode: BatchMode::ApproximateMultinomial,
-            ..Default::default()
-        };
-        assert!(wrong_engine.validate().unwrap_err().contains("urn-batched"));
-        // And so are blocks coarser than the legacy gate-tested bias cap.
-        let mut coarse = spec.clone();
-        coarse.batch_shift = 4;
-        assert!(coarse.validate().unwrap_err().contains("batch_shift"));
+    #[test]
+    fn population_below_the_protocol_minimum_is_rejected() {
+        // The gsu19 family and gs18 build `Params`, which needs n >= 16;
+        // the other protocols run at any n >= 2.
+        for name in ["gsu19", "gsu19-no-drag", "gs18"] {
+            let spec = ExperimentSpec::parse(&format!("protocols = {name}\nn = 8")).unwrap();
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains("need n >= 16"), "{name}: {err}");
+        }
+        for name in ["bkko18", "slow"] {
+            let spec = ExperimentSpec::parse(&format!("protocols = {name}\nn = 8")).unwrap();
+            spec.validate().unwrap();
+        }
+        let spec = ExperimentSpec::parse("protocols = gsu19\nn = 16").unwrap();
+        spec.validate().unwrap();
     }
 
     #[test]

@@ -32,104 +32,20 @@
 
 use rand::Rng;
 
-/// Above this expected value the samplers switch from the exact inverse-CDF
-/// walk (cost O(mean)) to an O(1) sampler: the binomial to a normal
-/// approximation, the hypergeometric to the exact HRUA rejection sampler
-/// ([`hypergeometric_hrua`] — *not* an approximation; the acceptance test
-/// evaluates the exact pmf). Public so the boundary can be pinned by
-/// regression tests: the exact batched engine consumes one conditional draw
-/// per occupied bucket per run, straddling this crossover constantly.
+/// Above this expected value [`hypergeometric`] switches from the exact
+/// inverse-CDF walk (cost O(mean)) to the exact O(1) HRUA rejection
+/// sampler ([`hypergeometric_hrua`] — *not* an approximation; the
+/// acceptance test evaluates the exact pmf). Public so the boundary can be
+/// pinned by regression tests: the exact batched engine consumes one
+/// conditional draw per occupied bucket per run, straddling this crossover
+/// constantly.
 pub const BINV_MEAN_CUTOFF: f64 = 48.0;
 
-/// Below this trial count the samplers always use the exact inverse-CDF walk
-/// regardless of the mean: small draws are cheap to do exactly. Public for
-/// the same boundary-pinning reason as [`BINV_MEAN_CUTOFF`].
+/// Below this sample size [`hypergeometric`] always uses the exact
+/// inverse-CDF walk regardless of the mean: small draws are cheap to do
+/// exactly. Public for the same boundary-pinning reason as
+/// [`BINV_MEAN_CUTOFF`].
 pub const BINV_EXACT_N: u64 = 128;
-
-/// Sample from the binomial distribution `Bin(n, p)`.
-///
-/// Exact inverse-CDF ("BINV") when `n` is small or `n·min(p, 1-p)` is below
-/// [`BINV_MEAN_CUTOFF`]; otherwise a normal approximation with continuity
-/// correction whose result is clamped back into the support `0..=n`
-/// (the exactness fallback: an out-of-support normal draw can never produce
-/// an invalid count). `p` outside `[0, 1]` is treated as the nearer bound.
-pub fn binomial<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
-    if n == 0 || p <= 0.0 {
-        return 0;
-    }
-    if p >= 1.0 {
-        return n;
-    }
-    // Exploit symmetry so the exact walk always runs on the small tail.
-    if p > 0.5 {
-        return n - binomial(rng, n, 1.0 - p);
-    }
-    let mean = n as f64 * p;
-    if n <= BINV_EXACT_N || mean < BINV_MEAN_CUTOFF {
-        binomial_inverse_cdf(rng, n, p)
-    } else {
-        binomial_normal_approx(rng, n, p)
-    }
-}
-
-/// Exact inverse-CDF walk (Kachitvichyanukul & Schmeiser's "BINV").
-///
-/// Walks the probability mass function from 0 upward using the recurrence
-/// `P(x+1) = P(x) · (n-x)/(x+1) · p/q` until the cumulative mass passes a
-/// uniform draw. Expected cost O(1 + n·p). Requires `0 < p ≤ 0.5`.
-fn binomial_inverse_cdf<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
-    let q = 1.0 - p;
-    let s = p / q;
-    // `n as f64 + 1.0`, not `(n + 1) as f64`: the integer increment
-    // overflows at n = u64::MAX (tiny-p draws over the full-range
-    // population the urn engine advertises).
-    let a = (n as f64 + 1.0) * s;
-    // q^n via exp(n ln q): with n·p bounded by the caller this cannot
-    // underflow to a degenerate 0 (e^-48 ≈ 1e-21 ≫ f64::MIN_POSITIVE).
-    let mut f = (n as f64 * q.ln()).exp();
-    let mut u: f64 = rng.gen();
-    let mut x = 0u64;
-    loop {
-        if u <= f {
-            return x;
-        }
-        u -= f;
-        x += 1;
-        if x > n {
-            // Floating-point residue past the end of the support (total mass
-            // summed to slightly below 1); the leftover mass belongs to the
-            // upper tail, whose dominant point under p ≤ 0.5 is near n·p.
-            // Returning n keeps the value in-support; the event has
-            // probability ~1e-15 and is invisible to any statistical gate.
-            return n;
-        }
-        f *= a / x as f64 - s;
-    }
-}
-
-/// Normal approximation with continuity correction, clamped to the support.
-fn binomial_normal_approx<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
-    let mean = n as f64 * p;
-    let sd = (mean * (1.0 - p)).sqrt();
-    let x = (mean + sd * standard_normal(rng) + 0.5).floor();
-    if x <= 0.0 {
-        0
-    } else if x >= n as f64 {
-        n
-    } else {
-        x as u64
-    }
-}
-
-/// Standard normal draw via Box–Muller (one of the pair is discarded; the
-/// batched path consumes normals far too rarely for caching to matter).
-fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
-    // First uniform must avoid 0 for the logarithm; `1 - u` maps [0,1) to
-    // (0,1].
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
 
 /// `ln Γ(x)` for `x > 0`. Needed to seed the exact hypergeometric walk at
 /// `ln P(0) = ln C(N−K, n) − ln C(N, n)` without an O(n) product, and by
@@ -201,10 +117,10 @@ fn ln_choose(n: u64, k: u64) -> f64 {
 /// Strategy: symmetry reductions so the walk runs on the small tail, then an
 /// exact inverse-CDF walk over the PMF (seeded via [`hypergeometric_p0`],
 /// advanced by the ratio recurrence) when the mean is small, and the exact
-/// HRUA rejection sampler otherwise. Unlike [`binomial`] there is **no
-/// normal-approximation branch**: every parameter regime is sampled from the
-/// exact distribution (up to f64 rounding), because this function sits on the
-/// exact batched engine's path and the bit-level equivalence gates assume
+/// HRUA rejection sampler otherwise. There is **no normal-approximation
+/// branch**: every parameter regime is sampled from the exact distribution
+/// (up to f64 rounding), because this function sits on the exact batched
+/// engine's path and the bit-level equivalence gates assume
 /// distribution-exactness at every draw.
 pub fn hypergeometric<R: Rng>(rng: &mut R, total: u64, marked: u64, draws: u64) -> u64 {
     debug_assert!(marked <= total && draws <= total);
@@ -395,7 +311,7 @@ const RUN_WALK_LIMIT: u64 = 64;
 ///
 /// with `u = untouched`. This function inverts that CDF with a single
 /// uniform draw (exact up to f64 rounding — the same convention as the
-/// inverse-CDF walks of [`binomial`] and [`hypergeometric`]): a
+/// inverse-CDF walk of [`hypergeometric`]): a
 /// multiply-compare walk for the first [`RUN_WALK_LIMIT`] steps, then a
 /// binary search on the closed form `ln P(L ≥ j) = ln Γ(u+1) − ln Γ(u−2j+1)
 /// − j·ln(n(n−1))` so astronomically long runs (small batches in huge
@@ -458,8 +374,10 @@ pub fn collision_free_run<R: Rng>(
 }
 
 /// Draw `draws` balls **without replacement** from the pool described by
-/// `pool` (per-slot ball counts summing to `*pool_total`), writing the
-/// per-slot draw counts to `out` and removing the drawn balls from the pool.
+/// `pool` (per-slot ball counts summing to `*pool_total`), removing the
+/// drawn balls from the pool and writing only the slots that actually
+/// yielded balls to `out`, as `(slot index, draw count)` pairs in slot
+/// order.
 ///
 /// Uses the conditional chain of the multivariate hypergeometric: slot by
 /// slot, the number drawn from slot `j` is
@@ -472,63 +390,15 @@ pub fn collision_free_run<R: Rng>(
 /// property suite checks): the draw counts always sum to exactly `draws`,
 /// and no slot ever yields more balls than it holds.
 ///
-/// `out` is cleared and refilled to `pool.len()` entries. Scanning stops as
-/// soon as all draws are assigned; remaining slots are zero-filled.
-///
-/// # Panics
-/// Panics (debug) if `draws > *pool_total` or `*pool_total` disagrees with
-/// the sum of `pool`.
-pub fn draw_without_replacement<R: Rng>(
-    rng: &mut R,
-    draws: u64,
-    pool: &mut [u64],
-    pool_total: &mut u64,
-    out: &mut Vec<u64>,
-) {
-    debug_assert!(draws <= *pool_total, "cannot draw {draws} of {pool_total}");
-    debug_assert_eq!(pool.iter().sum::<u64>(), *pool_total);
-    out.clear();
-    let mut draws_left = draws;
-    let mut total_left = *pool_total;
-    for slot in pool.iter_mut() {
-        if draws_left == 0 {
-            break;
-        }
-        let c = *slot;
-        if c == 0 {
-            out.push(0);
-            continue;
-        }
-        let x = if total_left == c {
-            // Only this slot's mass remains: all outstanding draws land here.
-            draws_left
-        } else {
-            // Support lower bound max(0, draws + c − total), computed as a
-            // subtraction from the invariant `total_left ≥ c` — the naive
-            // `draws_left + c` wraps when both are near u64::MAX.
-            let lo = draws_left.saturating_sub(total_left - c);
-            let hi = c.min(draws_left);
-            hypergeometric(rng, total_left, c, draws_left).clamp(lo, hi)
-        };
-        out.push(x);
-        *slot -= x;
-        draws_left -= x;
-        total_left -= c;
-    }
-    out.resize(pool.len(), 0);
-    *pool_total -= draws;
-    debug_assert_eq!(draws_left, 0);
-}
-
-/// Sparse variant of [`draw_without_replacement`]: writes only the slots
-/// that actually yielded balls, as `(slot index, draw count)` pairs.
-///
 /// This is the occupancy-bucketed workhorse of the exact batched engine: a
 /// collision-free run draws its participants through this chain, so the cost
 /// per run is one [`hypergeometric`] call per *non-empty pool slot visited*
 /// (the chain stops as soon as all draws are assigned) rather than a dense
-/// pass over the full census. Same distribution, same clamp-enforced
-/// invariants (draws sum exactly, no slot over-drawn) as the dense form.
+/// pass over the full census. `out` is cleared first.
+///
+/// # Panics
+/// Panics (debug) if `draws > *pool_total` or `*pool_total` disagrees with
+/// the sum of `pool`.
 pub fn draw_without_replacement_sparse<R: Rng>(
     rng: &mut R,
     draws: u64,
@@ -550,9 +420,12 @@ pub fn draw_without_replacement_sparse<R: Rng>(
             continue;
         }
         let x = if total_left == c {
+            // Only this slot's mass remains: all outstanding draws land here.
             draws_left
         } else {
-            // Overflow-safe support bounds; see `draw_without_replacement`.
+            // Support lower bound max(0, draws + c − total), computed as a
+            // subtraction from the invariant `total_left ≥ c` — the naive
+            // `draws_left + c` wraps when both are near u64::MAX.
             let lo = draws_left.saturating_sub(total_left - c);
             let hi = c.min(draws_left);
             hypergeometric(rng, total_left, c, draws_left).clamp(lo, hi)
@@ -597,42 +470,16 @@ pub enum BatchPolicy {
         /// Populations strictly below this run per-step.
         min_population: u64,
     },
-    /// **Approximate** legacy multinomial batching — the PR 2 engine,
-    /// deliberately preserved behind this clearly-labelled opt-in. Each
-    /// block draws its `b` responders and `b` initiators without replacement
-    /// from the block-start configuration and pairs them uniformly, with
-    /// **no within-batch feedback**: transition outputs only become visible
-    /// to sampling at the next block. That is an O(batch/n) bias per block —
-    /// invisible to coarse statistics at `shift ≥ 6` (the legacy gate-tested
-    /// cap) but *not* exact, and excluded from the bit-level equivalence
-    /// machinery: no interaction trace exists, so predicate stops are
-    /// block-granular and `steps_batched_traced` rejects this policy.
-    ///
-    /// Use it only for throughput-bound exploratory sweeps where a ~2% tail
-    /// perturbation is acceptable; anything feeding the paper's figures
-    /// should stay on [`BatchPolicy::Adaptive`]. Runs remain fully
-    /// deterministic per seed, and the experiment cache keys approximate
-    /// runs separately from exact ones.
-    ApproximateMultinomial {
-        /// Block size is `population >> shift`; the per-block bias scales
-        /// like `2^-shift`. Must be ≥ 1 (same cap as [`Self::Adaptive`]);
-        /// the legacy default is 6 (blocks of n/64).
-        shift: u32,
-        /// Populations strictly below this run per-step.
-        min_population: u64,
-    },
 }
 
 impl BatchPolicy {
     /// Default block fraction: 1/16 of the population per scheduling block.
     ///
-    /// PR 2's approximate engine had to cap batches at n/64 to keep its
-    /// O(batch/n) within-batch bias inside the statistical gates. The exact
-    /// collision-resampling engine has no such bias, so the default is
-    /// raised toward the n/2 validity bound: blocks are n/16, and the
-    /// engine subdivides internally for sampling efficiency. The remaining
-    /// trade-off is only stop-detection granularity, which the
-    /// rewind-and-replay exact stops make invisible in reported times.
+    /// The exact collision-resampling engine has no within-batch bias, so
+    /// the default sits well toward the n/2 validity bound: blocks are
+    /// n/16, and the engine subdivides internally for sampling efficiency.
+    /// The remaining trade-off is only stop-detection granularity, which
+    /// the rewind-and-replay exact stops make invisible in reported times.
     pub const DEFAULT_SHIFT: u32 = 4;
     /// Default small-population cutoff for the per-step fallback.
     pub const DEFAULT_MIN_POPULATION: u64 = 4096;
@@ -666,37 +513,8 @@ impl BatchPolicy {
         }
     }
 
-    /// Legacy default shift for [`Self::ApproximateMultinomial`]: blocks of
-    /// n/64, the largest block whose O(batch/n) within-batch bias stayed
-    /// inside PR 2's statistical engine gates.
-    pub const APPROX_DEFAULT_SHIFT: u32 = 6;
-
-    /// The default approximate configuration
-    /// (`ApproximateMultinomial { shift: 6, min_population: 4096 }`) —
-    /// read the variant's warning before reaching for this.
-    pub const fn approximate_multinomial() -> Self {
-        BatchPolicy::ApproximateMultinomial {
-            shift: Self::APPROX_DEFAULT_SHIFT,
-            min_population: Self::DEFAULT_MIN_POPULATION,
-        }
-    }
-
-    /// Validated constructor for hand-built approximate policies; same
-    /// shift contract (and panic) as [`Self::adaptive_with`].
-    pub fn approximate_multinomial_with(shift: u32, min_population: u64) -> Self {
-        assert!(
-            (1..64).contains(&shift),
-            "BatchPolicy shift must be in 1..64, got {shift}: shift 0 violates \
-             2·batch ≤ population and shifts ≥ 64 always produce batch size 1"
-        );
-        BatchPolicy::ApproximateMultinomial {
-            shift,
-            min_population,
-        }
-    }
-
     /// Check the cap invariant without constructing: `Ok` for [`PerStep`]
-    /// and for adaptive/approximate shifts in `1..64`, `Err` with a
+    /// and for adaptive shifts in `1..64`, `Err` with a
     /// description otherwise. Lets spec layers validate user-supplied
     /// policies before the clamp in [`Self::batch_size`] silently papers
     /// over them.
@@ -705,14 +523,8 @@ impl BatchPolicy {
     pub fn validate(&self) -> Result<(), String> {
         match *self {
             BatchPolicy::PerStep => Ok(()),
-            BatchPolicy::Adaptive { shift, .. }
-            | BatchPolicy::ApproximateMultinomial { shift, .. }
-                if (1..64).contains(&shift) =>
-            {
-                Ok(())
-            }
-            BatchPolicy::Adaptive { shift, .. }
-            | BatchPolicy::ApproximateMultinomial { shift, .. } => {
+            BatchPolicy::Adaptive { shift, .. } if (1..64).contains(&shift) => Ok(()),
+            BatchPolicy::Adaptive { shift, .. } => {
                 Err(format!("batch shift must be in 1..64, got {shift}"))
             }
         }
@@ -724,10 +536,6 @@ impl BatchPolicy {
         match *self {
             BatchPolicy::PerStep => 1,
             BatchPolicy::Adaptive {
-                shift,
-                min_population,
-            }
-            | BatchPolicy::ApproximateMultinomial {
                 shift,
                 min_population,
             } => {
@@ -747,14 +555,6 @@ impl BatchPolicy {
     pub fn is_per_step(&self) -> bool {
         matches!(self, BatchPolicy::PerStep)
     }
-
-    /// `true` for the deliberately-approximate legacy multinomial mode
-    /// ([`BatchPolicy::ApproximateMultinomial`]). Engines use this to pick
-    /// the no-feedback block sampler; spec/cache layers use it to keep
-    /// approximate artifacts from ever sharing identity with exact ones.
-    pub fn is_approximate(&self) -> bool {
-        matches!(self, BatchPolicy::ApproximateMultinomial { .. })
-    }
 }
 
 impl Default for BatchPolicy {
@@ -768,60 +568,6 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn binomial_degenerate_parameters() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(binomial(&mut rng, 0, 0.5), 0);
-        assert_eq!(binomial(&mut rng, 100, 0.0), 0);
-        assert_eq!(binomial(&mut rng, 100, 1.0), 100);
-        assert_eq!(binomial(&mut rng, 100, -0.5), 0);
-        assert_eq!(binomial(&mut rng, 100, 1.5), 100);
-    }
-
-    #[test]
-    fn binomial_stays_in_support() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        for &(n, p) in &[(1u64, 0.5), (7, 0.01), (1000, 0.999), (1 << 40, 0.5)] {
-            for _ in 0..200 {
-                assert!(binomial(&mut rng, n, p) <= n);
-            }
-        }
-    }
-
-    #[test]
-    fn binomial_mean_small_regime() {
-        // Exact inverse-CDF regime: n·p < cutoff.
-        let mut rng = SmallRng::seed_from_u64(3);
-        let (n, p, draws) = (100u64, 0.1, 40_000);
-        let sum: u64 = (0..draws).map(|_| binomial(&mut rng, n, p)).sum();
-        let mean = sum as f64 / draws as f64;
-        // SE of the mean = sqrt(np(1-p)/draws) = 0.015; allow 6 SE.
-        assert!((mean - 10.0).abs() < 0.09, "mean {mean}");
-    }
-
-    #[test]
-    fn binomial_mean_normal_regime() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let (n, p, draws) = (1u64 << 20, 0.25, 20_000);
-        let expect = n as f64 * p;
-        let sd = (expect * (1.0 - p)).sqrt();
-        let sum: u64 = (0..draws).map(|_| binomial(&mut rng, n, p)).sum();
-        let mean = sum as f64 / draws as f64;
-        let se = sd / (draws as f64).sqrt();
-        assert!((mean - expect).abs() < 6.0 * se, "mean {mean} vs {expect}");
-    }
-
-    #[test]
-    fn binomial_symmetry_at_high_p() {
-        // p > 0.5 routes through the complement; the mean must come out
-        // right on both sides of the cutoff.
-        let mut rng = SmallRng::seed_from_u64(5);
-        let (n, p, draws) = (300u64, 0.9, 30_000);
-        let sum: u64 = (0..draws).map(|_| binomial(&mut rng, n, p)).sum();
-        let mean = sum as f64 / draws as f64;
-        assert!((mean - 270.0).abs() < 0.5, "mean {mean}");
-    }
 
     #[test]
     fn ln_choose_matches_direct_computation() {
@@ -1003,8 +749,8 @@ mod tests {
         let mut pool = vec![5u64, 0, 3, 2];
         let mut total = 10;
         let mut out = Vec::new();
-        draw_without_replacement(&mut rng, 10, &mut pool, &mut total, &mut out);
-        assert_eq!(out, vec![5, 0, 3, 2]);
+        draw_without_replacement_sparse(&mut rng, 10, &mut pool, &mut total, &mut out);
+        assert_eq!(out, vec![(0, 5), (2, 3), (3, 2)]);
         assert_eq!(pool, vec![0, 0, 0, 0]);
         assert_eq!(total, 0);
     }
@@ -1017,10 +763,14 @@ mod tests {
             let snapshot = pool.clone();
             let mut total = 100;
             let mut out = Vec::new();
-            draw_without_replacement(&mut rng, draws, &mut pool, &mut total, &mut out);
-            assert_eq!(out.iter().sum::<u64>(), draws);
+            draw_without_replacement_sparse(&mut rng, draws, &mut pool, &mut total, &mut out);
+            let mut drawn = vec![0u64; snapshot.len()];
+            for &(j, x) in &out {
+                drawn[j as usize] = x;
+            }
+            assert_eq!(drawn.iter().sum::<u64>(), draws);
             assert_eq!(total, 100 - draws);
-            for (j, (&x, &c)) in out.iter().zip(&snapshot).enumerate() {
+            for (j, (&x, &c)) in drawn.iter().zip(&snapshot).enumerate() {
                 assert!(x <= c, "slot {j} drew {x} of {c}");
                 assert_eq!(pool[j], c - x);
             }
@@ -1038,9 +788,9 @@ mod tests {
         for _ in 0..reps {
             let mut pool = weights.to_vec();
             let mut total = 10_000;
-            draw_without_replacement(&mut rng, draws, &mut pool, &mut total, &mut out);
-            for (s, &x) in sums.iter_mut().zip(&out) {
-                *s += x;
+            draw_without_replacement_sparse(&mut rng, draws, &mut pool, &mut total, &mut out);
+            for &(j, x) in &out {
+                sums[j as usize] += x;
             }
         }
         for (j, &s) in sums.iter().enumerate() {
@@ -1190,21 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn binomial_full_range_population_no_overflow() {
-        let mut rng = SmallRng::seed_from_u64(41);
-        // Tiny p keeps the draw in the exact inverse-CDF branch, where the
-        // old `(n + 1)` seed wrapped at n = u64::MAX.
-        for _ in 0..100 {
-            let x = binomial(&mut rng, u64::MAX, 1e-21);
-            assert!(x < 1_000, "binomial(u64::MAX, 1e-21) = {x}");
-        }
-        // Normal branch at astronomical mean: stays in support, no panic.
-        for _ in 0..100 {
-            let _ = binomial(&mut rng, u64::MAX, 0.75);
-        }
-    }
-
-    #[test]
     fn draw_without_replacement_huge_pools_no_overflow() {
         // Near-total draws from pools summing to ~u64::MAX: the support
         // lower bound used to be computed as `draws + c`, which wraps.
@@ -1214,8 +949,8 @@ mod tests {
         let mut total = a + b; // u64::MAX − 1
         let draws = total - 1;
         let mut out = Vec::new();
-        draw_without_replacement(&mut rng, draws, &mut pool, &mut total, &mut out);
-        assert_eq!(out.iter().sum::<u64>(), draws);
+        draw_without_replacement_sparse(&mut rng, draws, &mut pool, &mut total, &mut out);
+        assert_eq!(out.iter().map(|&(_, x)| x).sum::<u64>(), draws);
         assert_eq!(total, 1);
         assert_eq!(pool.iter().sum::<u64>(), 1);
     }

@@ -9,10 +9,8 @@
 //! the `_with` drivers delegate to [`Simulator::steps_until`], whose batched
 //! implementation probes the predicate at block boundaries but, on a hit,
 //! rewinds the block and replays its recorded interaction trace to the
-//! exact first interaction satisfying the predicate. No mode quantises
-//! stopping times to batch boundaries any more — the legacy approximate
-//! batch engine that did (overshoot up to one batch) was replaced by the
-//! exact collision-resampling engine in `ppsim::batch`.
+//! exact first interaction satisfying the predicate, so no mode quantises
+//! stopping times to batch boundaries.
 
 use crate::batch::BatchPolicy;
 use crate::protocol::Simulator;

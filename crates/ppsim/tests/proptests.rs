@@ -3,8 +3,8 @@
 //! (default 64; CI's stress job runs 256).
 
 use ppsim::batch::{
-    binomial, collision_free_run, draw_without_replacement, draw_without_replacement_sparse,
-    hypergeometric, BatchPolicy, BINV_EXACT_N, BINV_MEAN_CUTOFF,
+    collision_free_run, draw_without_replacement_sparse, hypergeometric, BatchPolicy, BINV_EXACT_N,
+    BINV_MEAN_CUTOFF,
 };
 use ppsim::{quantile, EnumerableProtocol, Fenwick, Output, Protocol, Simulator, UrnSim};
 use proptest::prelude::*;
@@ -170,59 +170,6 @@ proptest! {
     }
 
     #[test]
-    fn binomial_always_in_support(seed in any::<u64>(), n in 0u64..1_000_000, p in -0.2f64..1.2) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let x = binomial(&mut rng, n, p);
-        prop_assert!(x <= n, "binomial({n}, {p}) = {x}");
-        if p <= 0.0 { prop_assert_eq!(x, 0); }
-        if p >= 1.0 { prop_assert_eq!(x, n); }
-    }
-
-    #[test]
-    fn binomial_empirical_mean_tracks_np(
-        seed in any::<u64>(),
-        n in 1u64..200_000,
-        p in 0.001f64..0.999,
-    ) {
-        // One modest empirical check per generated (n, p): the sample mean
-        // of k draws must sit within 6 standard errors of n·p. Catches
-        // regressions in either sampling regime (exact walk and normal
-        // approximation) across the parameter sweep proptest generates.
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let k = 200u64;
-        let sum: u64 = (0..k).map(|_| binomial(&mut rng, n, p)).sum();
-        let mean = sum as f64 / k as f64;
-        let expect = n as f64 * p;
-        let se = (expect * (1.0 - p) / k as f64).sqrt();
-        // 6 SE two-sided + 1 absolute slack for the tiny-variance corner.
-        prop_assert!(
-            (mean - expect).abs() < 6.0 * se + 1.0,
-            "Bin({n}, {p}): mean {mean} vs {expect} (se {se})"
-        );
-    }
-
-    #[test]
-    fn binomial_empirical_variance_in_range(
-        seed in any::<u64>(),
-        n in 100u64..100_000,
-        p in 0.05f64..0.95,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let k = 300usize;
-        let xs: Vec<f64> = (0..k).map(|_| binomial(&mut rng, n, p) as f64).collect();
-        let mean = xs.iter().sum::<f64>() / k as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (k - 1) as f64;
-        let expect = n as f64 * p * (1.0 - p);
-        // Sample variance of k draws has sd ≈ expect·√(2/k) ≈ 0.082·expect;
-        // allow ±50% — generous, but a broken sampler (e.g. missing the
-        // (1-p) factor or a constant output) lands far outside.
-        prop_assert!(
-            var > 0.5 * expect && var < 1.5 * expect,
-            "Bin({n}, {p}): var {var} vs {expect}"
-        );
-    }
-
-    #[test]
     fn multinomial_sums_and_never_exceeds_counts(
         seed in any::<u64>(),
         pool_template in prop::collection::vec(0u64..5_000, 1..40),
@@ -234,11 +181,14 @@ proptest! {
         let mut pool = pool_template.clone();
         let mut pool_total = total;
         let mut out = Vec::new();
-        draw_without_replacement(&mut rng, draws, &mut pool, &mut pool_total, &mut out);
-        prop_assert_eq!(out.len(), pool_template.len());
-        prop_assert_eq!(out.iter().sum::<u64>(), draws, "draws must sum to the batch size");
+        draw_without_replacement_sparse(&mut rng, draws, &mut pool, &mut pool_total, &mut out);
+        let mut drawn = vec![0u64; pool_template.len()];
+        for &(j, x) in &out {
+            drawn[j as usize] = x;
+        }
+        prop_assert_eq!(drawn.iter().sum::<u64>(), draws, "draws must sum to the batch size");
         prop_assert_eq!(pool_total, total - draws);
-        for (j, (&x, &c)) in out.iter().zip(&pool_template).enumerate() {
+        for (j, (&x, &c)) in drawn.iter().zip(&pool_template).enumerate() {
             prop_assert!(x <= c, "slot {j} drew {x} of {c}");
             prop_assert_eq!(pool[j], c - x, "pool must shrink by the draw");
         }
@@ -255,8 +205,12 @@ proptest! {
         let mut pool = pool_template.clone();
         let mut pool_total = total;
         let mut out = Vec::new();
-        draw_without_replacement(&mut rng, total, &mut pool, &mut pool_total, &mut out);
-        prop_assert_eq!(out, pool_template);
+        draw_without_replacement_sparse(&mut rng, total, &mut pool, &mut pool_total, &mut out);
+        let nonempty: Vec<(u32, u64)> = (0u32..)
+            .zip(pool_template.iter().copied())
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        prop_assert_eq!(out, nonempty);
         prop_assert_eq!(pool_total, 0);
     }
 
@@ -277,8 +231,8 @@ proptest! {
         for _ in 0..reps {
             let mut pool = vec![heavy, light];
             let mut pool_total = total;
-            draw_without_replacement(&mut rng, draws, &mut pool, &mut pool_total, &mut out);
-            first += out[0];
+            draw_without_replacement_sparse(&mut rng, draws, &mut pool, &mut pool_total, &mut out);
+            first += out.iter().find(|&&(j, _)| j == 0).map_or(0, |&(_, x)| x);
         }
         let expect = reps as f64 * draws as f64 * heavy as f64 / total as f64;
         // Hypergeometric sd per rep ≤ √(draws/4); 6σ across reps plus
@@ -386,41 +340,6 @@ proptest! {
     }
 
     #[test]
-    fn binomial_is_continuous_across_the_binv_boundaries(
-        seed in any::<u64>(),
-        side in 0u64..4,
-    ) {
-        // Regression pin for the BINV/normal crossover: the exact engine
-        // consumes far more binomial draws per batch than the legacy one,
-        // so the sampler must stay in-support and on-mean on *both* sides
-        // of `BINV_MEAN_CUTOFF` (mean crossover) and `BINV_EXACT_N`
-        // (small-n always-exact crossover).
-        let (n, p) = match side {
-            // n·p just below / above the mean cutoff at large n.
-            0 => (100_000u64, (BINV_MEAN_CUTOFF - 0.5) / 100_000.0),
-            1 => (100_000u64, (BINV_MEAN_CUTOFF + 0.5) / 100_000.0),
-            // n just below / above the always-exact population cutoff, at a
-            // mean far beyond the cutoff (p picked so n·p > cutoff).
-            2 => (BINV_EXACT_N - 1, 0.6),
-            _ => (BINV_EXACT_N + 1, 0.6),
-        };
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let reps = 400u64;
-        let xs: Vec<f64> = (0..reps).map(|_| {
-            let x = binomial(&mut rng, n, p);
-            assert!(x <= n);
-            x as f64
-        }).collect();
-        let mean = xs.iter().sum::<f64>() / reps as f64;
-        let expect = n as f64 * p;
-        let se = (expect * (1.0 - p) / reps as f64).sqrt();
-        prop_assert!(
-            (mean - expect).abs() < 6.0 * se + 0.5,
-            "Bin({n}, {p}) at crossover: mean {mean} vs {expect}"
-        );
-    }
-
-    #[test]
     fn hypergeometric_is_continuous_across_the_crossover(
         seed in any::<u64>(),
         side in 0u64..2,
@@ -512,10 +431,10 @@ proptest! {
         pool_template in prop::collection::vec(0u64..2_000, 1..30),
         draw_frac in 0.0f64..1.0,
     ) {
-        // The occupancy-bucketed sparse variant must honour the same
-        // invariants as the dense sampler: draws sum to the batch, no slot
-        // over-drawn, pool shrinks in lock-step, and zero-count slots never
-        // appear in the output.
+        // The occupancy-bucketed sparse output must honour the sampler
+        // invariants: draws sum to the batch, no slot over-drawn, pool
+        // shrinks in lock-step, and zero-count slots never appear in the
+        // output.
         let total: u64 = pool_template.iter().sum();
         let draws = (total as f64 * draw_frac) as u64;
         let mut rng = SmallRng::seed_from_u64(seed);

@@ -15,8 +15,8 @@
 //! engine — `sweep` is a preset that expands to a spec, and `run` takes
 //! the spec directly (a `key = value` file via `--spec`, with every key
 //! also available as a flag override). Engines: `agent` (exact agent
-//! array), `urn` (count-based), `urn-batched` (batched multinomial
-//! sampling, the only engine interactive at n ≥ 2^30). `--compiled` runs
+//! array), `urn` (count-based), `urn-batched` (exact batched sampling,
+//! the only engine interactive at n ≥ 2^30). `--compiled` runs
 //! the chosen engine on compiled transition tables (gsu19 and gs18).
 //!
 //! Argument parsing is hand-rolled (the repository keeps its dependency
@@ -24,7 +24,7 @@
 //! flags exit nonzero with a hint, so a typo like `--trails` can never
 //! silently run the wrong experiment.
 
-use population_protocols::core::{Census, Gsu19};
+use population_protocols::core::{Census, Gsu19, Params};
 use population_protocols::ppexp::{
     merge_from_cache, merge_shards, replay_trial, run_experiment, run_experiment_cached, run_shard,
     shard::shard_assignments, trial_plan, Artifact, Cache, ConfigResult, ExperimentSpec,
@@ -32,6 +32,7 @@ use population_protocols::ppexp::{
 };
 use population_protocols::ppsim::table::{fnum, Table};
 use population_protocols::ppsim::{AgentSim, BatchPolicy, Simulator, UrnSim};
+use std::sync::LazyLock;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -106,8 +107,7 @@ fn print_help() {
          \x20 --engine E --compiled --n GRID --trials T --seed S --threads K\n\
          \x20 --budget PT | --at PT | --stop stabilize:B|horizon:T|drag:L:B|\n\
          \x20 active:K:B|settled:B --sample-at T1,T2,... --observables LIST\n\
-         \x20 --batch-shift B --batch-mode exact|approximate-multinomial\n\
-         \x20 --round-every R --init fresh|final-epoch:K[lg]\n\
+         \x20 --batch-shift B --round-every R --init fresh|final-epoch:K[lg]\n\
          \x20 --gamma G --phi P --psi P\n\n\
          observables: core (none) or a comma list of census | level_sizes |\n\
          \x20 junta_size | drag_histogram | round_census | drag_times |\n\
@@ -120,11 +120,6 @@ fn print_help() {
          protocols: gsu19 (default) | gsu19-no-drag | gsu19-no-backup |\n\
          \x20          gsu19-direct | gs18 | bkko18 | slow | clock\n\
          engines:   agent (default) | urn | urn-batched\n\
-         --batch-mode approximate-multinomial opts the batched engine into\n\
-         \x20          the legacy APPROXIMATE multinomial sampler (fast,\n\
-         \x20          deterministic per seed, separately cached — but biased\n\
-         \x20          O(2^-batch-shift) per block with block-granular stops;\n\
-         \x20          keep figures on the default exact mode)\n\
          threads:   --threads K or the PPSIM_THREADS environment variable\n\
          --compiled runs the engine on compiled transition tables\n\
          \x20          (ppsim::compiled; gsu19 and gs18 only)"
@@ -150,7 +145,7 @@ impl Flags {
     /// cost hours of probing the wrong configuration.
     fn parse(
         args: &[String],
-        value_flags: &'static [&'static str],
+        value_flags: &[&'static str],
         switch_flags: &'static [&'static str],
     ) -> Result<Self, String> {
         let (flags, positionals) = Self::parse_inner(args, value_flags, switch_flags, false)?;
@@ -164,7 +159,7 @@ impl Flags {
     /// still validated strictly.
     fn parse_with_positionals(
         args: &[String],
-        value_flags: &'static [&'static str],
+        value_flags: &[&'static str],
         switch_flags: &'static [&'static str],
     ) -> Result<(Self, Vec<String>), String> {
         Self::parse_inner(args, value_flags, switch_flags, true)
@@ -172,7 +167,7 @@ impl Flags {
 
     fn parse_inner(
         args: &[String],
-        value_flags: &'static [&'static str],
+        value_flags: &[&'static str],
         switch_flags: &'static [&'static str],
         allow_positionals: bool,
     ) -> Result<(Self, Vec<String>), String> {
@@ -280,7 +275,6 @@ const SPEC_FLAGS: &[(&str, &str)] = &[
     ("--sample-at", "sample_at"),
     ("--observables", "observables"),
     ("--batch-shift", "batch_shift"),
-    ("--batch-mode", "batch_mode"),
     ("--round-every", "round_every"),
     ("--init", "init"),
     ("--gamma", "gamma"),
@@ -372,10 +366,22 @@ fn emit_artifact(artifact: &Artifact, flags: &Flags) -> Result<(), String> {
 // Commands
 // ---------------------------------------------------------------------------
 
+/// The gsu19 instance `params` and `census` inspect; a population below
+/// the protocol's minimum is a usage error rather than a `Params` panic.
+fn gsu19_for(n: u64) -> Result<Gsu19, String> {
+    if n < Params::MIN_POPULATION {
+        return Err(format!(
+            "population {n} too small for protocol 'gsu19' (need n >= {})",
+            Params::MIN_POPULATION
+        ));
+    }
+    Ok(Gsu19::for_population(n))
+}
+
 fn cmd_params(args: &[String]) -> Result<i32, String> {
     let flags = Flags::parse(args, &["--n"], &[])?;
     let n: u64 = flags.parse_value("--n", 1 << 12)?;
-    let proto = Gsu19::for_population(n);
+    let proto = gsu19_for(n)?;
     let p = proto.params();
     println!("population n       = {n}");
     println!("coin level cap Φ   = {}", p.phi);
@@ -514,42 +520,42 @@ fn cmd_sweep(args: &[String]) -> Result<i32, String> {
 }
 
 /// Value-taking flags `ppctl run` accepts: every spec override plus the
-/// run-only I/O flags. Kept as a const so a test can assert it stays a
-/// superset of [`SPEC_FLAGS`] (a spec flag missing here is documented but
-/// rejected by the strict parser).
-const RUN_VALUE_FLAGS: &[&str] = &[
-    "--spec",
-    "--protocol",
-    "--engine",
-    "--n",
-    "--trials",
-    "--seed",
-    "--threads",
-    "--budget",
-    "--at",
-    "--stop",
-    "--sample-at",
-    "--observables",
-    "--batch-shift",
-    "--batch-mode",
-    "--round-every",
-    "--init",
-    "--gamma",
-    "--phi",
-    "--psi",
-    "--out",
-    "--csv",
-    "--replay",
-    "--cache-dir",
-];
+/// run-only I/O flags. `run`, `work`, `merge` and `plan` must all accept
+/// every spec flag to expand the same trial plan, so each list is built
+/// from [`SPEC_FLAGS`].
+static RUN_VALUE_FLAGS: LazyLock<Vec<&str>> =
+    LazyLock::new(|| with_spec_flags(&["--spec", "--out", "--csv", "--replay", "--cache-dir"]));
+
+/// The value flags of [`SPEC_FLAGS`] followed by a command's own extras.
+fn with_spec_flags(extras: &[&'static str]) -> Vec<&'static str> {
+    SPEC_FLAGS
+        .iter()
+        .map(|&(flag, _)| flag)
+        .chain(extras.iter().copied())
+        .collect()
+}
+
+/// The trial cache `run`/`work` use: `--cache` opts in and `--no-cache`
+/// wins when both are given (so a cached alias can be overridden).
+/// `--cache-dir` with no cache in use is an error, not a silent no-op.
+fn cache_from_flags(flags: &Flags) -> Result<Option<Cache>, String> {
+    if flags.has("--cache") && !flags.has("--no-cache") {
+        Ok(Some(cache_at(flags)))
+    } else if flags.get("--cache-dir").is_some() {
+        Err("--cache-dir needs --cache (and no --no-cache): no cache is in use".into())
+    } else {
+        Ok(None)
+    }
+}
 
 fn cmd_run(args: &[String]) -> Result<i32, String> {
     let flags = Flags::parse(
         args,
-        RUN_VALUE_FLAGS,
+        &RUN_VALUE_FLAGS,
         &["--compiled", "--cache", "--no-cache"],
     )?;
     let spec = spec_from_flags(&flags)?;
+    let cache = cache_from_flags(&flags)?;
 
     if let Some(address) = flags.get("--replay") {
         let (config, trial) = address
@@ -563,10 +569,7 @@ fn cmd_run(args: &[String]) -> Result<i32, String> {
         return Ok(0);
     }
 
-    // --cache opts into the content-addressed trial cache; --no-cache
-    // wins when both are given (so a cached alias can be overridden).
-    let artifact = if flags.has("--cache") && !flags.has("--no-cache") {
-        let cache = cache_at(&flags);
+    let artifact = if let Some(cache) = cache {
         let (artifact, stats) = run_experiment_cached(&spec, Some(&cache))?;
         eprintln!(
             "cache: {} hit{}, {} miss{} ({})",
@@ -588,32 +591,9 @@ fn cmd_run(args: &[String]) -> Result<i32, String> {
 }
 
 /// Value-taking flags `ppctl work` accepts: every spec override plus the
-/// shard address and I/O flags. A const for the same reason as
-/// [`RUN_VALUE_FLAGS`].
-const WORK_VALUE_FLAGS: &[&str] = &[
-    "--spec",
-    "--protocol",
-    "--engine",
-    "--n",
-    "--trials",
-    "--seed",
-    "--threads",
-    "--budget",
-    "--at",
-    "--stop",
-    "--sample-at",
-    "--observables",
-    "--batch-shift",
-    "--batch-mode",
-    "--round-every",
-    "--init",
-    "--gamma",
-    "--phi",
-    "--psi",
-    "--shard",
-    "--out",
-    "--cache-dir",
-];
+/// shard address and I/O flags.
+static WORK_VALUE_FLAGS: LazyLock<Vec<&str>> =
+    LazyLock::new(|| with_spec_flags(&["--spec", "--shard", "--out", "--cache-dir"]));
 
 /// Parse a `--shard I/K` address.
 fn parse_shard_address(s: &str) -> Result<(usize, usize), String> {
@@ -625,10 +605,11 @@ fn parse_shard_address(s: &str) -> Result<(usize, usize), String> {
 fn cmd_work(args: &[String]) -> Result<i32, String> {
     let flags = Flags::parse(
         args,
-        WORK_VALUE_FLAGS,
+        &WORK_VALUE_FLAGS,
         &["--compiled", "--cache", "--no-cache", "--resume"],
     )?;
     let spec = spec_from_flags(&flags)?;
+    let cache = cache_from_flags(&flags)?;
     let (shard, of) = parse_shard_address(
         flags
             .get("--shard")
@@ -650,7 +631,6 @@ fn cmd_work(args: &[String]) -> Result<i32, String> {
         None
     };
 
-    let cache = (flags.has("--cache") && !flags.has("--no-cache")).then(|| cache_at(&flags));
     let (output, stats) = run_shard(&spec, shard, of, cache.as_ref(), prior.as_ref())?;
     let fresh = stats.planned - stats.resumed - stats.cache.hits;
     eprintln!(
@@ -672,35 +652,16 @@ fn cmd_work(args: &[String]) -> Result<i32, String> {
 
 /// Value-taking flags `ppctl merge` accepts: the spec inputs (merge must
 /// expand the same plan the workers did) plus artifact output flags.
-const MERGE_VALUE_FLAGS: &[&str] = &[
-    "--spec",
-    "--protocol",
-    "--engine",
-    "--n",
-    "--trials",
-    "--seed",
-    "--threads",
-    "--budget",
-    "--at",
-    "--stop",
-    "--sample-at",
-    "--observables",
-    "--batch-shift",
-    "--batch-mode",
-    "--round-every",
-    "--init",
-    "--gamma",
-    "--phi",
-    "--psi",
-    "--out",
-    "--csv",
-    "--cache-dir",
-];
+static MERGE_VALUE_FLAGS: LazyLock<Vec<&str>> =
+    LazyLock::new(|| with_spec_flags(&["--spec", "--out", "--csv", "--cache-dir"]));
 
 fn cmd_merge(args: &[String]) -> Result<i32, String> {
     let (flags, files) =
-        Flags::parse_with_positionals(args, MERGE_VALUE_FLAGS, &["--compiled", "--from-cache"])?;
+        Flags::parse_with_positionals(args, &MERGE_VALUE_FLAGS, &["--compiled", "--from-cache"])?;
     let spec = spec_from_flags(&flags)?;
+    if !flags.has("--from-cache") && flags.get("--cache-dir").is_some() {
+        return Err("--cache-dir needs --from-cache: merge reads shard files otherwise".into());
+    }
 
     // Any verification failure surfaces as Err → exit 2 via report():
     // foreign spec, duplicate shard, bad record, incomplete coverage
@@ -736,30 +697,9 @@ fn cmd_merge(args: &[String]) -> Result<i32, String> {
 
 /// Value-taking flags `ppctl plan` accepts: the spec inputs (plan must
 /// expand the same trial plan `run`/`work`/`merge` do) plus the worker
-/// count to predict a makespan for. A const for the same reason as
-/// [`RUN_VALUE_FLAGS`].
-const PLAN_VALUE_FLAGS: &[&str] = &[
-    "--spec",
-    "--protocol",
-    "--engine",
-    "--n",
-    "--trials",
-    "--seed",
-    "--threads",
-    "--budget",
-    "--at",
-    "--stop",
-    "--sample-at",
-    "--observables",
-    "--batch-shift",
-    "--batch-mode",
-    "--round-every",
-    "--init",
-    "--gamma",
-    "--phi",
-    "--psi",
-    "--shards",
-];
+/// count to predict a makespan for.
+static PLAN_VALUE_FLAGS: LazyLock<Vec<&str>> =
+    LazyLock::new(|| with_spec_flags(&["--spec", "--shards"]));
 
 /// Render integer cost units (model microseconds) as approximate
 /// seconds for the human-facing column.
@@ -768,7 +708,7 @@ fn cost_secs(units: u128) -> String {
 }
 
 fn cmd_plan(args: &[String]) -> Result<i32, String> {
-    let flags = Flags::parse(args, PLAN_VALUE_FLAGS, &["--compiled"])?;
+    let flags = Flags::parse(args, &PLAN_VALUE_FLAGS, &["--compiled"])?;
     let spec = spec_from_flags(&flags)?;
     spec.validate()?;
     let k: usize = flags.parse_value("--shards", 1usize)?;
@@ -896,7 +836,7 @@ fn cmd_census(args: &[String]) -> Result<i32, String> {
     let engine =
         population_protocols::ppexp::EngineKind::parse(flags.get("--engine").unwrap_or("agent"))?;
     use population_protocols::ppexp::EngineKind;
-    let proto = Gsu19::for_population(n);
+    let proto = gsu19_for(n)?;
     let params = *proto.params();
     let interactions = (at * n as f64) as u64;
     let c = if flags.has("--compiled") {
